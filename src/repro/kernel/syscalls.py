@@ -16,7 +16,7 @@ The four categories of information recorded for each ingress/egress call
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.kernel.sockets import FiveTuple
@@ -51,13 +51,14 @@ def abi_direction(abi: str) -> Direction:
     raise ValueError(f"unknown syscall ABI: {abi}")
 
 
-@dataclass
+@dataclass(slots=True)
 class SyscallContext:
     """Snapshot handed to eBPF programs when a hook fires.
 
     One context is produced at syscall *enter* and a second at *exit*; the
     in-kernel BPF program merges the two via the ``(pid, tid)`` hash map
-    (§3.3.1) into a :class:`SyscallRecord`.
+    (§3.3.1) into a :class:`SyscallRecord`.  Slotted, like the record:
+    both are built once per hook firing.
     """
 
     # program information
@@ -81,7 +82,7 @@ class SyscallContext:
     host_name: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class SyscallRecord:
     """Merged enter+exit data for one syscall — the kernel-side output.
 
@@ -116,7 +117,6 @@ class SyscallRecord:
     #: For shed records: whether the record travels in the flow's request
     #: direction (the first direction seen on the socket).
     shed_is_request: bool = False
-    extra: dict = field(default_factory=dict)
 
     @property
     def duration(self) -> float:

@@ -53,6 +53,11 @@ PARSE_CACHE_MAX = 4096
 #: Distinguishes "cached None" (a continuation) from "not cached".
 _MISS = object()
 
+#: Headers whose value is unique per request or per span (§3.3.2): a
+#: payload carrying one never repeats, so memoizing its parse saves no
+#: work and keeps garbage alive for the cyclic collector to scan.
+UNIQUE_ID_HEADERS = ("x-request-id", "traceparent", "b3")
+
 
 class ProtocolInferenceEngine:
     """Sticky per-connection protocol classification + parsing.
@@ -61,9 +66,11 @@ class ProtocolInferenceEngine:
     payload bytes, and production traffic repeats the same small message
     set (health checks, identical requests), so a bounded
     ``(protocol, payload) → ParsedMessage`` table turns the steady-state
-    parse into one dict hit.  Cached :class:`ParsedMessage` objects are
-    shared between hits and must be treated as immutable — nothing in the
-    pipeline mutates a parsed message after construction.
+    parse into one dict hit.  Payloads stamped with a per-request id
+    (:data:`UNIQUE_ID_HEADERS`) cannot repeat and bypass the table.
+    Cached :class:`ParsedMessage` objects are shared between hits and
+    must be treated as immutable — nothing in the pipeline mutates a
+    parsed message after construction.
     """
 
     def __init__(self, user_specs: Optional[Iterable[ProtocolSpec]] = None,
@@ -109,6 +116,11 @@ class ProtocolInferenceEngine:
             self.parse_cache_hits += 1
             return parsed
         parsed = spec.parse(payload)
+        if parsed is not None and parsed.headers:
+            headers = parsed.headers
+            for name in UNIQUE_ID_HEADERS:
+                if name in headers:
+                    return parsed
         if len(self._parse_cache) >= PARSE_CACHE_MAX:
             self._parse_cache.clear()
         self._parse_cache[cache_key] = parsed

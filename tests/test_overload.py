@@ -21,13 +21,19 @@ from repro.agent.overload import (
 )
 from repro.apps.runtime import HttpService, Response
 from repro.kernel.ebpf import (
+    EMPTY_PROGRAM_LATENCY_NS,
+    MAX_INSTRUCTIONS,
+    MAX_STACK_BYTES,
+    PER_INSTRUCTION_LATENCY_NS,
+    THROTTLED_CHARGE_NS,
     BPFProgram,
     HookRegistry,
     PerfBuffer,
     TokenBucket,
 )
 from repro.kernel.sockets import FiveTuple
-from repro.kernel.syscalls import Direction
+from repro.kernel.syscalls import Direction, SyscallContext
+from repro.kernel.verifier import verify_bytecode
 from repro.network.topology import ClusterBuilder
 from repro.network.transport import Network
 from repro.server.server import DeepFlowServer
@@ -70,38 +76,75 @@ class TestTokenBucket:
             TokenBucket(rate=1.0, burst=0.0)
 
 
+#: Attach-point shapes the throttle cases run over: one rate-limited
+#: program, two rate-limited programs, and a rate-limited program
+#: sharing its attach point with an unlimited one.
+LIMITER_LAYOUTS = ((True,), (True, True), (True, False))
+
+
+def _declared_charge(program):
+    """Per-firing charge of a bytecode-free program, from scratch."""
+    return (EMPTY_PROGRAM_LATENCY_NS
+            + program.instructions * PER_INSTRUCTION_LATENCY_NS
+            + program.system_tax_ns)
+
+
 class TestFiringTimeThrottle:
-    def _registry(self):
+    def _registry(self, limited=(True,)):
         sim = Simulator(seed=1)
         registry = HookRegistry(sim)
         fired = []
-        program = BPFProgram("p", fired.append, instructions=100)
-        program.rate_limiter = TokenBucket(rate=1.0, burst=2.0)
-        registry.attach("sys_enter_read", program)
-        return sim, registry, program, fired
+        programs = []
+        for index, has_limiter in enumerate(limited):
+            program = BPFProgram(f"p{index}", fired.append,
+                                 instructions=100 + 150 * index,
+                                 system_tax_ns=400.0 * index)
+            if has_limiter:
+                program.rate_limiter = TokenBucket(rate=1.0, burst=2.0)
+            registry.attach("sys_enter_read", program)
+            programs.append(program)
+        return sim, registry, programs, fired
 
     def test_throttled_firings_skip_the_handler(self):
-        sim, registry, program, fired = self._registry()
-        for _ in range(5):
-            registry.fire("sys_enter_read", "ctx")
-        assert len(fired) == 2  # burst admitted, rest refused
-        assert program.throttled == 3
-        assert registry.total_throttled == 3
-        assert registry.total_firings == 5
+        for limited in LIMITER_LAYOUTS:
+            sim, registry, programs, fired = self._registry(limited)
+            for _ in range(5):
+                registry.fire("sys_enter_read", "ctx")
+            # Each limited program admits its burst and refuses the
+            # rest; an unlimited neighbour runs every time.
+            throttled = [3 if has_limiter else 0 for has_limiter in limited]
+            assert len(fired) == sum(5 - count for count in throttled)
+            assert [p.throttled for p in programs] == throttled
+            assert registry.total_throttled == sum(throttled)
+            assert registry.total_firings == 5 * len(limited)
 
     def test_throttled_cost_is_the_early_exit(self):
-        sim, registry, program, fired = self._registry()
-        admitted_cost = registry.fire("sys_enter_read", "ctx")
-        registry.fire("sys_enter_read", "ctx")
-        throttled_cost = registry.fire("sys_enter_read", "ctx")
-        assert throttled_cost < admitted_cost
-        assert throttled_cost > 0.0  # the refused probe is not free
+        for limited in LIMITER_LAYOUTS:
+            sim, registry, programs, fired = self._registry(limited)
+            admitted_cost = registry.fire("sys_enter_read", "ctx")
+            registry.fire("sys_enter_read", "ctx")
+            throttled_cost = registry.fire("sys_enter_read", "ctx")
+            # Charged per program, in attach order: the full charge when
+            # admitted, the early-exit charge when refused.
+            expected_admitted = 0.0
+            expected_throttled = 0.0
+            for program, has_limiter in zip(programs, limited):
+                expected_admitted += _declared_charge(program)
+                expected_throttled += (THROTTLED_CHARGE_NS if has_limiter
+                                       else _declared_charge(program))
+            assert admitted_cost == expected_admitted
+            assert throttled_cost == expected_throttled
+            assert throttled_cost < admitted_cost
+            assert throttled_cost > 0.0  # the refused probe is not free
 
     def test_total_cost_accumulates(self):
-        sim, registry, program, fired = self._registry()
-        for _ in range(3):
-            registry.fire("sys_enter_read", "ctx")
-        assert registry.total_cost_ns > 0.0
+        for limited in LIMITER_LAYOUTS:
+            sim, registry, programs, fired = self._registry(limited)
+            charged = 0.0
+            for _ in range(3):
+                charged += registry.fire("sys_enter_read", "ctx")
+            assert registry.total_cost_ns > 0.0
+            assert registry.total_cost_ns == charged
 
 
 # ---------------------------------------------------------------------------
@@ -358,22 +401,72 @@ class TestAgentDegradedPipeline:
         assert svc_agent.stats["degraded_messages"] > 0
         assert svc_agent.aggregator.degraded > 0
 
+    @staticmethod
+    def _charge_from_scratch(agent, program, shed):
+        """Empty-program latency + verified worst case × per-instruction
+        latency + system tax, re-derived without the verifier cache or
+        the program's cached charge."""
+        report = verify_bytecode(program.bytecode, "tracepoint",
+                                 stack_limit=MAX_STACK_BYTES,
+                                 max_path=MAX_INSTRUCTIONS)
+        tax = 0.0
+        if program in agent._exit_programs:
+            config = agent.config
+            tax = (min(config.system_tax_shed_ns, config.system_tax_full_ns)
+                   if shed else config.system_tax_full_ns)
+        return (EMPTY_PROGRAM_LATENCY_NS
+                + report.worst_case_instructions * PER_INSTRUCTION_LATENCY_NS
+                + tax)
+
+    def _fire_every_syscall_hook(self, agent, shed, charged):
+        """Fire each attached syscall program once; every firing must
+        charge exactly its from-scratch cost.  Returns the running sum
+        of the charges."""
+        hooks = agent.kernel.hooks
+        for hook_name, program in agent._programs:
+            if program not in agent._syscall_programs:
+                continue
+            abi = hook_name.split("_", 2)[2]
+            ctx = SyscallContext(
+                pid=1, tid=2, coroutine_id=None, process_name="probe",
+                socket_id=-1, five_tuple=FLOW, tcp_seq=0,
+                timestamp=agent.sim.now, direction=Direction.EGRESS,
+                is_enter=hook_name.startswith("sys_enter_"), abi=abi)
+            expected = self._charge_from_scratch(agent, program, shed)
+            assert program.charge_ns == expected
+            assert hooks.fire(hook_name, ctx) == expected
+            charged += expected
+        return charged
+
     def test_tier_change_swaps_bytecode_and_tax(self):
-        sim, server, agents, client_pod, service_pod = build_world()
-        agent = agents[0]
-        exit_program = agent._exit_programs[0]
-        full_instructions = exit_program.effective_instructions
-        full_tax = exit_program.system_tax_ns
-        agent.overload.tick(0.1, 1.0, 0)
-        assert exit_program.effective_instructions < full_instructions
-        assert exit_program.system_tax_ns < full_tax
-        assert (exit_program.effective_instructions
-                == agent.config.trace_instructions)
-        # Recovery restores the full program.
-        for step in range(agent.config.overload_hysteresis_ticks):
-            agent.overload.tick(0.2 + 0.1 * step, 0.0, 0)
-        assert exit_program.effective_instructions == full_instructions
-        assert exit_program.system_tax_ns == full_tax
+        # Plain and rate-limited attach points (a limit that never
+        # throttles): both charge per program, from the current tier.
+        for config in ({}, {"hook_rate_limit": 1e9,
+                            "hook_rate_burst": 1e9}):
+            sim, server, agents, client_pod, service_pod = build_world(
+                **config)
+            agent = agents[0]
+            hooks = agent.kernel.hooks
+            assert hooks.total_cost_ns == 0.0
+            charged = self._fire_every_syscall_hook(agent, False, 0.0)
+            exit_program = agent._exit_programs[0]
+            full_instructions = exit_program.effective_instructions
+            full_tax = exit_program.system_tax_ns
+            agent.overload.tick(0.1, 1.0, 0)
+            assert exit_program.effective_instructions < full_instructions
+            assert exit_program.system_tax_ns < full_tax
+            assert (exit_program.effective_instructions
+                    == agent.config.trace_instructions)
+            charged = self._fire_every_syscall_hook(agent, True, charged)
+            # Recovery restores the full program.
+            for step in range(agent.config.overload_hysteresis_ticks):
+                agent.overload.tick(0.2 + 0.1 * step, 0.0, 0)
+            assert exit_program.effective_instructions == full_instructions
+            assert exit_program.system_tax_ns == full_tax
+            charged = self._fire_every_syscall_hook(agent, False, charged)
+            # The registry's ledger is the sum of the per-firing charges.
+            assert hooks.total_cost_ns == charged
+            assert hooks.total_throttled == 0
 
     def test_protection_disabled_is_the_seed_behavior(self):
         sim, server, agents, client_pod, service_pod = build_world(

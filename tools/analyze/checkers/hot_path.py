@@ -21,11 +21,12 @@ loop bodies only:
 * ``hp-rescan-in-loop`` (warn) — ``sorted(...)``, ``.sort()``,
   ``.index()``, or ``insort`` inside a loop: an O(n) pass per event.
 
-A second, stricter contract covers the overload guards
-(:data:`ALLOC_FREE_SEEDS`): the per-record sampler decision, the
-firing-time token-bucket check, and the per-poll tier check run on
-*every* kernel event precisely when the agent is already drowning, so
-their whole bodies — not just loop bodies — must be allocation-free.
+A second, stricter contract covers the overload guards and the hook
+dispatch they sit on (:data:`ALLOC_FREE_SEEDS`): hook firing, the
+perf-buffer submit, the per-record sampler decision, the firing-time
+token-bucket check, and the per-poll tier check run on *every* kernel
+event, precisely when the agent is already drowning too, so their whole
+bodies — not just loop bodies — must be allocation-free.
 ``hp-alloc-in-guard`` (error) flags constructor calls, comprehensions,
 f-strings, and list/set/dict literal displays anywhere inside them;
 the once-per-socket/once-per-transition slow paths they delegate to are
@@ -60,12 +61,18 @@ HOT_SEEDS: dict[str, tuple[str, ...]] = {
     # per-span and per-link-event loops; parent assembly (which sorts)
     # is deliberately split into finalize_pending, off this closure.
     "ContinuousAssembler": ("on_spans",),
+    # Every agent shipment lands here: a per-span enrichment loop.
+    "DeepFlowServer": ("ingest_spans",),
 }
 
 #: class name → methods whose ENTIRE body must be allocation-free: the
 #: overload-protection fast paths, which run per kernel event exactly
 #: when the agent is overloaded.
 ALLOC_FREE_SEEDS: dict[str, tuple[str, ...]] = {
+    # Hook dispatch and the perf-buffer submit run on every instrumented
+    # syscall (twice and once), loaded or not.
+    "HookRegistry": ("fire",),
+    "PerfBuffer": ("submit",),
     "TokenBucket": ("allow",),
     "HeadSampler": ("admit",),
     "OverloadController": ("tick",),
