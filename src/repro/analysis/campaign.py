@@ -9,6 +9,7 @@ this is the empirical counterpart to the paper's survey-derived Figure 2.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -224,7 +225,9 @@ class FaultCampaign:
 
     def run_scenario(self, category: str) -> ScenarioOutcome:
         """Inject one category, drive load, and diagnose."""
-        world = _World(self.seed + hash(category) % 1000)
+        # CRC32, not ``hash()``: string hashing is salted per process, so
+        # the world seed (and the outcome) would change from run to run.
+        world = _World(self.seed + zlib.crc32(category.encode()) % 1000)
         world.deploy_apps()
         _inject(world, category)
         baseline_duration = 0.01

@@ -1,21 +1,20 @@
 """Trace export to interchange formats.
 
 Assembled traces can be handed to existing visualization and pipeline
-tooling in three registered formats (:data:`FORMATS`):
+tooling in two forms, registered in :data:`FORMATS`:
 
 * ``jaeger`` — the Jaeger UI JSON layout (one object per trace with
   ``spans`` and ``processes``);
-* ``otlp`` — the original flat OTLP-like span list, kept for
-  backwards compatibility;
-* ``otlp-json`` — the canonical OTLP/JSON shape used by the continuous
-  pipeline: ``resourceSpans`` → resource (attribute kv-list) →
+* ``otlp`` (also registered as ``otlp-json``) — the one OTLP encoding,
+  the canonical OTLP/JSON shape the continuous pipeline emits:
+  ``resourceSpans`` → resource (attribute kv-list) →
   ``scopeSpans`` → scope → spans, with 32-hex trace ids, 16-hex span
   ids, int64 timestamps as decimal strings, and span attributes that
   follow the OBI naming conventions (``net.host.name``,
   ``http.method``, ``http.route``, ``http.status_code``) documented in
   :data:`SPAN_ATTRIBUTE_CONVENTIONS`.
 
-The ``otlp-json`` form is round-trippable: :func:`decode_otlp_json`
+The OTLP form is round-trippable: :func:`decode_otlp_json`
 validates the full schema (raising :class:`OtlpDecodeError` on any
 deviation) and :func:`encode_decoded` re-encodes the decoded form to
 the byte-identical payload — export → decode → re-export is a fixed
@@ -98,7 +97,7 @@ def _hex_id(value: int | None, width: int = 16) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Jaeger + legacy OTLP forms (unchanged shapes)
+# Jaeger form
 # ---------------------------------------------------------------------------
 
 def span_to_jaeger(span: Span, trace_id: str) -> dict[str, Any]:
@@ -147,32 +146,6 @@ def trace_to_jaeger(trace: Trace) -> dict[str, Any]:
         "spans": [span_to_jaeger(span, trace_id) for span in trace],
         "processes": processes,
     }
-
-
-def trace_to_otlp(trace: Trace) -> list[dict[str, Any]]:
-    """A flat OTLP-like span list (one dict per span; legacy form)."""
-    roots = trace.roots()
-    trace_id = _hex_id(roots[0].span_id if roots else 0, width=32)
-    out = []
-    for span in trace:
-        out.append({
-            "traceId": trace_id,
-            "spanId": _hex_id(span.span_id),
-            "parentSpanId": _hex_id(span.parent_id),
-            "name": span.endpoint or span.protocol or "span",
-            "kind": ("SPAN_KIND_SERVER" if span.side.value == "s"
-                     else "SPAN_KIND_CLIENT" if span.side.value == "c"
-                     else "SPAN_KIND_INTERNAL"),
-            "startTimeUnixNano": int(span.start_time * 1e9),
-            "endTimeUnixNano": int(span.end_time * 1e9),
-            "status": {"code": ("STATUS_CODE_ERROR" if span.is_error
-                                else "STATUS_CODE_OK")},
-            "attributes": {**{str(k): str(v)
-                              for k, v in span.tags.items()},
-                           **{str(k): v
-                              for k, v in span.metrics.items()}},
-        })
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +735,7 @@ def register_format(name: str,
 
 
 register_format("jaeger", lambda trace: {"data": [trace_to_jaeger(trace)]})
-register_format("otlp", trace_to_otlp)
+register_format("otlp", trace_to_otlp_json)
 register_format("otlp-json", trace_to_otlp_json)
 
 

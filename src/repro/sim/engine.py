@@ -5,12 +5,17 @@ virtual clock, and generator-based processes.  Determinism is a hard
 requirement for the reproduction (DESIGN.md decision 1), so ties on the heap
 are broken by a monotonically increasing sequence number and all random
 choices are drawn from a single seeded ``random.Random``.
+
+Heap entries are ``(when, seq, fn, arg)`` and run as ``fn(arg)``, so the
+common one-argument callbacks need no closure.  Only work that can do
+something takes a heap entry: an event triggered with no waiters schedules
+nothing, and a process sleeping on a number wakes from its own entry.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 
@@ -54,7 +59,8 @@ class Event:
         self.triggered = True
         self.ok = True
         self.value = value
-        self.sim._schedule_event(self)
+        if self._callbacks:
+            self.sim._push(0.0, Event._run_callbacks, self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -64,14 +70,15 @@ class Event:
         self.triggered = True
         self.ok = False
         self.value = exception
-        self.sim._schedule_event(self)
+        if self._callbacks:
+            self.sim._push(0.0, Event._run_callbacks, self)
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Invoke *callback* when the event triggers."""
         if self.triggered:
             # Already triggered: deliver on the current timestamp.
-            self.sim.call_soon(callback, self)
+            self.sim._push(0.0, callback, self)
         else:
             self._callbacks.append(callback)
 
@@ -92,7 +99,7 @@ class Timeout(Event):
         super().__init__(sim)
         self.delay = delay
         self._fire_value = value
-        sim._schedule(delay, self._fire)
+        sim._push(delay, Timeout._fire, self)
 
     def _fire(self) -> None:
         self.triggered = True
@@ -115,8 +122,8 @@ class Process:
     delivered to joiners.
     """
 
-    __slots__ = ("sim", "name", "_gen", "_done", "_waiting_on", "_result",
-                 "_exception", "finished")
+    __slots__ = ("sim", "name", "_gen", "_done", "_waiting_on", "_sleep",
+                 "_result", "_exception", "finished", "__weakref__")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         self.sim = sim
@@ -124,10 +131,14 @@ class Process:
         self._gen = gen
         self._done = Event(sim)
         self._waiting_on: Optional[Event] = None
+        # The pending wake's token while sleeping on a number; a wake whose
+        # token is no longer this one is stale and does nothing.
+        self._sleep: Optional[tuple] = None
         self._result: Any = None
         self._exception: Optional[BaseException] = None
         self.finished = False
-        sim.call_soon(self._step, None)
+        sim._live.add(self)
+        sim._push(0.0, self._step, None)
 
     @property
     def result(self) -> Any:
@@ -148,7 +159,7 @@ class Process:
         if self.finished:
             return
         self._detach()
-        self.sim.call_soon(self._step_throw, Interrupt(cause))
+        self.sim._push(0.0, self._step_throw, Interrupt(cause))
 
     def kill(self) -> None:
         """Terminate the process without running further user code."""
@@ -166,6 +177,7 @@ class Process:
             except ValueError:
                 pass
         self._waiting_on = None
+        self._sleep = None
 
     # -- stepping machinery -------------------------------------------------
 
@@ -203,19 +215,38 @@ class Process:
         self._wait_on(yielded)
 
     def _wait_on(self, yielded: Any) -> None:
-        if isinstance(yielded, Process):
-            yielded = yielded._done
-        elif isinstance(yielded, (int, float)):
-            yielded = Timeout(self.sim, float(yielded))
-        if not isinstance(yielded, Event):
-            self._step_throw(SimulationError(
-                f"process {self.name!r} yielded {yielded!r}; expected an "
-                "Event, Process, or numeric delay"))
+        # Exact types first: the generic checks only see subclasses (a
+        # ``bool`` sleeps, like any ``int``) and bad yields.
+        kind = type(yielded)
+        if kind is not float and kind is not int:
+            if kind is Process:
+                yielded = yielded._done
+            elif kind is not Event and kind is not Timeout:
+                if isinstance(yielded, Process):
+                    yielded = yielded._done
+                elif isinstance(yielded, (int, float)):
+                    self._wait_on(float(yielded))
+                    return
+                elif not isinstance(yielded, Event):
+                    self._step_throw(SimulationError(
+                        f"process {self.name!r} yielded {yielded!r}; expected "
+                        "an Event, Process, or numeric delay"))
+                    return
+            self._waiting_on = yielded
+            yielded.add_callback(self._resume)
             return
-        self._waiting_on = yielded
-        yielded.add_callback(self._resume)
+        # A numeric sleep pushes its own wake entry, whose token interrupt
+        # and kill void.
+        if yielded < 0:
+            raise SimulationError(
+                f"negative timeout delay: {float(yielded)}")
+        self._sleep = token = (self,)
+        sim = self.sim
+        sim._seq += 1
+        heappush(sim._heap, (sim.now + yielded, sim._seq, _wake, token))
 
     def _finish(self, result: Any, exc: Optional[BaseException]) -> None:
+        self.sim._live.discard(self)
         self.finished = True
         self._result = result
         self._exception = exc
@@ -225,30 +256,45 @@ class Process:
             self._done.fail(exc)
 
 
+def _wake(token: tuple) -> None:
+    """Resume a process sleeping on a number, unless *token* went stale."""
+    process = token[0]
+    if process._sleep is token:
+        process._sleep = None
+        process._step(None)
+
+
+def _call_with(call: tuple[Callable[..., None], tuple]) -> None:
+    fn, args = call
+    fn(*args)
+
+
 class Simulator:
     """Owner of the virtual clock, event heap, and deterministic RNG."""
 
     def __init__(self, seed: int = 0):
         self.now: float = 0.0
         self.rng = random.Random(seed)
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        self._heap: list[tuple[float, int, Callable[[Any], None], Any]] = []
         self._seq = 0
-        self._processes: list[Process] = []
+        # Unfinished processes.  A process blocked on an event nobody else
+        # holds is reachable only from here; without this set the collector
+        # could finalize its generator mid-run and run its ``finally``.
+        self._live: set[Process] = set()
 
     # -- scheduling ----------------------------------------------------------
 
-    def _schedule(self, delay: float, fn: Callable[[], None]) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past: {delay}")
+    def _push(self, delay: float, fn: Callable[[Any], None], arg: Any) -> None:
+        """Schedule ``fn(arg)`` *delay* seconds from now."""
         self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, fn))
+        heappush(self._heap, (self.now + delay, self._seq, fn, arg))
 
     def call_soon(self, fn: Callable[..., None], *args: Any) -> None:
         """Run *fn(\\*args)* at the current timestamp, after pending work."""
-        self._schedule(0.0, lambda: fn(*args))
-
-    def _schedule_event(self, event: Event) -> None:
-        self._schedule(0.0, event._run_callbacks)
+        if len(args) == 1:
+            self._push(0.0, fn, args[0])
+        else:
+            self._push(0.0, _call_with, (fn, args))
 
     # -- factories -----------------------------------------------------------
 
@@ -262,9 +308,7 @@ class Simulator:
 
     def spawn(self, gen: Generator, name: str = "") -> Process:
         """Start a new process from a generator."""
-        process = Process(self, gen, name=name)
-        self._processes.append(process)
-        return process
+        return Process(self, gen, name=name)
 
     def any_of(self, events: Iterable[Event]) -> Event:
         """An event that triggers when the first of *events* triggers."""
@@ -319,9 +363,9 @@ class Simulator:
         """Run the next scheduled callback.  Returns False when idle."""
         if not self._heap:
             return False
-        when, _seq, fn = heapq.heappop(self._heap)
+        when, _seq, fn, arg = heappop(self._heap)
         self.now = when
-        fn()
+        fn(arg)
         return True
 
     def run(self, until: Optional[float] = None) -> None:
@@ -330,7 +374,8 @@ class Simulator:
             while self.step():
                 pass
             return
-        while self._heap and self._heap[0][0] <= until:
+        heap = self._heap
+        while heap and heap[0][0] <= until:
             self.step()
         if self.now < until:
             self.now = until
@@ -338,8 +383,9 @@ class Simulator:
     def run_process(self, process: Process,
                     until: Optional[float] = None) -> Any:
         """Run until *process* completes (or *until*), returning its result."""
+        heap = self._heap
         while not process.finished:
-            if until is not None and self._heap and self._heap[0][0] > until:
+            if until is not None and heap and heap[0][0] > until:
                 raise SimulationError(
                     f"process {process.name!r} did not finish by t={until}")
             if not self.step():

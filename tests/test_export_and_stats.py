@@ -8,7 +8,7 @@ from repro.apps.loadgen import LoadGenerator
 from repro.apps.runtime import HttpService, Response
 from repro.core.export import (FORMATS, decode_otlp_json, register_format,
                                trace_to_jaeger, trace_to_json,
-                               trace_to_otlp, trace_to_otlp_json)
+                               trace_to_otlp_json)
 from repro.network.topology import ClusterBuilder
 from repro.network.transport import Network
 from repro.server.server import DeepFlowServer
@@ -87,10 +87,20 @@ class TestJaegerExport:
                 max(1, int(span.duration * 1e6)))
 
 
+def _otlp_spans(payload):
+    """Every span of an OTLP/JSON payload, across resources."""
+    return [span for entry in payload["resourceSpans"]
+            for scope_entry in entry["scopeSpans"]
+            for span in scope_entry["spans"]]
+
+
 class TestOtlpExport:
-    def test_flat_span_list(self, traced_world):
+    """The ``otlp`` format name serves the canonical encoder."""
+
+    def test_span_count_kinds_and_status(self, traced_world):
         _server, _agents, trace, _report = traced_world
-        spans = trace_to_otlp(trace)
+        assert FORMATS["otlp"] is trace_to_otlp_json
+        spans = _otlp_spans(FORMATS["otlp"](trace))
         assert len(spans) == len(trace)
         kinds = {span["kind"] for span in spans}
         assert kinds == {"SPAN_KIND_SERVER", "SPAN_KIND_CLIENT"}
@@ -99,7 +109,7 @@ class TestOtlpExport:
 
     def test_parent_ids_resolve(self, traced_world):
         _server, _agents, trace, _report = traced_world
-        spans = trace_to_otlp(trace)
+        spans = _otlp_spans(FORMATS["otlp"](trace))
         ids = {span["spanId"] for span in spans}
         roots = [span for span in spans if not span["parentSpanId"]]
         assert len(roots) == 1

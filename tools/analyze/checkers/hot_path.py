@@ -63,6 +63,11 @@ HOT_SEEDS: dict[str, tuple[str, ...]] = {
     "ContinuousAssembler": ("on_spans",),
     # Every agent shipment lands here: a per-span enrichment loop.
     "DeepFlowServer": ("ingest_spans",),
+    # The engine runs every simulated step of both the traced app and its
+    # bare twin: the pop loop, process stepping and event triggering.
+    "Simulator": ("step", "run", "run_process"),
+    "Process": ("_step", "_resume", "_wait_on"),
+    "Event": ("succeed", "fail", "_run_callbacks"),
 }
 
 #: class name → methods whose ENTIRE body must be allocation-free: the
