@@ -10,43 +10,14 @@ assignment, span construction — and the per-event cost of each stage.
 import time
 
 from benchmarks.conftest import print_table
+from benchmarks.workloads import synthetic_records
 
 from repro.agent.agent import DeepFlowAgent
 from repro.kernel.kernel import Kernel
-from repro.kernel.sockets import FiveTuple
-from repro.kernel.syscalls import Direction, SyscallRecord
 from repro.protocols import http1
 from repro.sim.engine import Simulator
 
 EVENTS = 20_000
-
-
-def _synthetic_records(count):
-    """Alternating request/response records across 8 fake connections."""
-    request = http1.encode_request("GET", "/api/items")
-    response = http1.encode_response(200, body=b"[]")
-    records = []
-    t = 0.0
-    for index in range(count // 2):
-        socket_id = index % 8
-        ft = FiveTuple("10.0.0.1", 40000 + socket_id, "10.0.0.2", 80)
-        t += 1e-4
-        records.append(SyscallRecord(
-            pid=1, tid=100 + socket_id, coroutine_id=None,
-            process_name="svc", socket_id=socket_id, five_tuple=ft,
-            tcp_seq=index * 100 + 1, enter_time=t, exit_time=t + 1e-5,
-            direction=Direction.INGRESS, abi="read",
-            byte_len=len(request), payload=request, ret=len(request),
-            host_name="node-1"))
-        t += 1e-4
-        records.append(SyscallRecord(
-            pid=1, tid=100 + socket_id, coroutine_id=None,
-            process_name="svc", socket_id=socket_id, five_tuple=ft,
-            tcp_seq=index * 100 + 1, enter_time=t, exit_time=t + 1e-5,
-            direction=Direction.EGRESS, abi="write",
-            byte_len=len(response), payload=response, ret=len(response),
-            host_name="node-1"))
-    return records
 
 
 def _fresh_agent():
@@ -56,7 +27,7 @@ def _fresh_agent():
 
 
 def test_agent_pipeline_events_per_second(benchmark):
-    records = _synthetic_records(EVENTS)
+    records = synthetic_records(EVENTS)
     agent = _fresh_agent()
 
     def run_pipeline():
@@ -84,7 +55,7 @@ def test_agent_pipeline_events_per_second(benchmark):
 
 def test_agent_per_event_cost(benchmark):
     """pytest-benchmark on the steady-state per-event path."""
-    records = _synthetic_records(EVENTS)
+    records = synthetic_records(EVENTS)
     agent = _fresh_agent()
     iterator = iter(records * 50)
 

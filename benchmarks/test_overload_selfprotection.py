@@ -21,106 +21,10 @@ traces they emit whole, transitions replay identically run-to-run, and
 the unprotected twin both costs more kernel time and shreds traces.
 """
 
-from collections import defaultdict
-
 import pytest
 
 from benchmarks.conftest import print_table
-from repro.agent.agent import AgentConfig
-from repro.apps.loadgen import LoadGenerator
-from repro.apps.runtime import HttpService, Response
-from repro.core.span import SpanKind
-from repro.network.topology import ClusterBuilder
-from repro.network.transport import Network
-from repro.server.server import DeepFlowServer
-from repro.sim.engine import Simulator
-
-#: The ramp deliberately overruns the agent: at the 12k rps crest the
-#: node produces ~24k syscall records/s against a 128-slot perf ring
-#: polled every 10 ms — roughly 10x what FULL-fidelity draining absorbs.
-START_RPS = 100.0
-END_RPS = 12_000.0
-RAMP_SECONDS = 1.5
-PERF_CAPACITY = 128
-POLL_INTERVAL = 0.01
-SERVICE_TIME = 0.00005
-SEED = 11
-
-
-def run_overloaded_world(protection: bool) -> dict:
-    """One node hosting both the generator and the service, so a single
-    agent observes both sides of every flow; returns the measurements
-    the tests and the table share."""
-    sim = Simulator(seed=SEED)
-    builder = ClusterBuilder(node_count=1)
-    wrk_pod = builder.add_pod(0, "wrk2-pod")
-    web_pod = builder.add_pod(0, "web-pod")
-    cluster = builder.build()
-    Network(sim, cluster)
-    server = DeepFlowServer()
-    config = AgentConfig(perf_buffer_capacity=PERF_CAPACITY,
-                         overload_protection=protection)
-    node = cluster.nodes[0]
-    agent = server.new_agent(node.kernel, node=node, config=config)
-    agent.deploy(mode="full")
-
-    service = HttpService("web", web_pod.node, 80, pod=web_pod,
-                          service_time=SERVICE_TIME)
-
-    @service.route("/")
-    def index(worker, request):
-        return Response(200, body=b"ok")
-        yield
-
-    service.start()
-    agent.start_polling(interval=POLL_INTERVAL)
-    generator = LoadGenerator(wrk_pod.node, web_pod.ip, 80, rate=1.0,
-                              duration=1.0, connections=16, pod=wrk_pod,
-                              name="wrk2")
-    generator.ramp(START_RPS, END_RPS, RAMP_SECONDS)
-    report = sim.run_process(generator.run())
-    sim.run(until=sim.now + 0.5)
-    agent.flush(expire=True)
-
-    health = agent.health()
-    spans, whole, torn, completeness = trace_stats(server, sim)
-    return {
-        "report": report,
-        "health": health,
-        "transitions": list(health.get("transitions", [])),
-        "dropped": health["perf"]["dropped"],
-        "kernel_cost_ms": node.kernel.hooks.total_cost_ns / 1e6,
-        "spans": spans,
-        "whole": whole,
-        "torn": torn,
-        "completeness": completeness,
-    }
-
-
-def trace_stats(server, sim):
-    """(syscall spans, whole traces, torn traces, completeness).
-
-    A trace here is one request/response exchange keyed by
-    ``(flow_key, req_tcp_seq)``; it is *whole* when both vantage points
-    (CLIENT and SERVER side) produced a healthy span, and *torn* when
-    only one side survived or the session surfaced as an error — the
-    shredding signature of non-atomic record loss.
-    """
-    spans = [span for span in server.span_list(0.0, sim.now + 1000.0)
-             if span.kind is SpanKind.SYSCALL]
-    sides_by_exchange = defaultdict(set)
-    errors = 0
-    for span in spans:
-        if span.tags.get("error.kind"):
-            errors += 1
-            continue
-        sides_by_exchange[(span.flow_key, span.req_tcp_seq)].add(
-            span.side.name)
-    whole = sum(1 for sides in sides_by_exchange.values()
-                if len(sides) == 2)
-    torn = sum(1 for sides in sides_by_exchange.values()
-               if len(sides) < 2) + errors
-    return len(spans), whole, torn, whole / max(1, whole + torn)
+from benchmarks.workloads import END_RPS, START_RPS, run_overloaded_world
 
 
 @pytest.fixture(scope="module")

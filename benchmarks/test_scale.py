@@ -14,6 +14,7 @@ import time
 
 from benchmarks.conftest import deploy_deepflow, flush_all, print_table, \
     run_wrk2
+from benchmarks.workloads import chain_store, store_spans
 
 from repro.apps.servicegen import generate
 from repro.sim.engine import Simulator
@@ -64,21 +65,10 @@ def test_scale_store_handles_many_spans(benchmark):
     priced separately — the commit runs once per batch, not per query.
     """
     from repro.core.ids import IdAllocator
-    from repro.core.span import Span, SpanKind, SpanSide
     from repro.server.database import AssociationFilter, SpanStore
 
-    ids = IdAllocator(7)
     store = SpanStore()
-    spans = []
-    for index in range(50_000):
-        spans.append(Span(
-            span_id=ids.next_id(), kind=SpanKind.SYSCALL,
-            side=SpanSide.CLIENT if index % 2 else SpanSide.SERVER,
-            start_time=index * 1e-4, end_time=index * 1e-4 + 1e-3,
-            systrace_id=index // 4,
-            flow_key=("flow", index % 977),
-            req_tcp_seq=index,
-        ))
+    spans = store_spans(50_000, IdAllocator(7).next_id)
     start_clock = time.perf_counter()
     store.insert_many(spans)
     insert_seconds = time.perf_counter() - start_clock
@@ -108,40 +98,6 @@ def test_scale_store_handles_many_spans(benchmark):
     assert 50_000 / insert_seconds > 1_000_000
 
 
-def _chain_store(groups: int, chain: int):
-    """A store of *groups* chain-shaped trace components of *chain* spans.
-
-    Adjacent spans alternate systrace and X-Request-ID pair links, so
-    each component is a path graph: the worst case for the iterative
-    reference (the frontier advances one hop per round) while the
-    union-find answers it in one lookup.  ``chain`` stays well under the
-    30-iteration default so the reference still converges and the two
-    paths return identical span sets.
-    """
-    from repro.core.span import Span, SpanKind, SpanSide
-    from repro.server.database import SpanStore
-
-    store = SpanStore()
-    spans = []
-    span_id = 0
-    for group in range(groups):
-        for pos in range(chain):
-            spans.append(Span(
-                span_id=span_id, kind=SpanKind.SYSCALL,
-                side=SpanSide.CLIENT if pos % 2 else SpanSide.SERVER,
-                start_time=span_id * 1e-4, end_time=span_id * 1e-4 + 1e-3,
-                # pairs (0,1), (2,3), ... share a systrace id
-                systrace_id=group * chain + pos // 2,
-                # pairs (1,2), (3,4), ... share an X-Request-ID
-                x_request_id=(f"x-{group}-{(pos + 1) // 2}"
-                              if pos > 0 else None),
-            ))
-            span_id += 1
-    store.insert_many(spans)
-    store.flush()
-    return store, spans
-
-
 def test_scale_fast_path_vs_reference(benchmark):
     """Algorithm 1 on a 50k-span store: incremental index vs iteration.
 
@@ -152,7 +108,7 @@ def test_scale_fast_path_vs_reference(benchmark):
     from repro.server.assembler import TraceAssembler
 
     chain = 24
-    store, spans = _chain_store(groups=50_000 // chain + 1, chain=chain)
+    store, spans = chain_store(groups=50_000 // chain + 1, chain=chain)
     assembler = TraceAssembler(store)
     starts = [span.span_id for span in spans[::chain][:200]]
 

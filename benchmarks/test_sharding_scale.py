@@ -12,90 +12,26 @@ timed per member and the parallel deployment is *modeled*: router cost
 is the max over a fixed fleet of routing clients, shard and boundary-
 partition costs are the max over their members, and only the small
 cross-shard link apply is charged serially.  The serial wall-clock sum
-is printed alongside so the accounting stays honest (same convention as
-tools/bench_report.py, which emits these numbers to BENCH_results.json).
+is printed alongside so the accounting stays honest.
 """
 
 import gc
 import time
 
 from benchmarks.conftest import print_table
+from benchmarks.workloads import SHARD_WINDOW, ingest_phased, \
+    sharding_spans
 
-from repro.core.span import Span, SpanKind, SpanSide
 from repro.server.database import SpanStore
 from repro.server.sharding import ShardedSpanStore
 
 SPANS = 50_000
 SHARD_COUNTS = (1, 2, 4, 8)
-ROUTER_CLIENTS = 8
-WINDOW = 0.5
 QUERIES = 200
 
 
-def build_spans(count=SPANS):
-    """Groups of four spans share a systrace id; every tenth group also
-    chains to its neighbor via X-Request-ID, so some components cross
-    routing keys (and shards)."""
-    spans = []
-    for index in range(count):
-        group = index // 4
-        xreq = None
-        if group % 10 == 0 and group > 0 and index % 4 == 0:
-            xreq = f"xr-{group - 1}"
-        elif group % 10 == 9 and index % 4 == 3:
-            xreq = f"xr-{group}"
-        spans.append(Span(
-            span_id=index, kind=SpanKind.SYSCALL,
-            side=SpanSide.CLIENT if index % 2 else SpanSide.SERVER,
-            start_time=index * 1e-4, end_time=index * 1e-4 + 1e-3,
-            systrace_id=group, x_request_id=xreq,
-            flow_key=("flow", index % 977), req_tcp_seq=index))
-    return spans
-
-
-def ingest_phased(store, spans):
-    """Ingest with every parallelizable phase timed per member; returns
-    (modeled_seconds, serial_seconds).  GC is paused so a whole-process
-    collection doesn't land on one member — modeled shard processes
-    each have their own heap (same convention as tools/bench_report)."""
-    gc.collect()
-    gc.disable()
-    chunk = (len(spans) + ROUTER_CLIENTS - 1) // ROUTER_CLIENTS
-    route_times, client_batches = [], []
-    for begin in range(0, len(spans), chunk):
-        clock = time.perf_counter()
-        client_batches.append(
-            store.route_batches(spans[begin:begin + chunk]))
-        route_times.append(time.perf_counter() - clock)
-    merged = [[] for _ in range(store.shard_count)]
-    for batches in client_batches:
-        for index, batch in enumerate(batches):
-            merged[index].extend(batch)
-    shard_times = []
-    for index, batch in enumerate(merged):
-        clock = time.perf_counter()
-        store.shards[index].insert_many(batch)
-        store.shards[index].flush()
-        store.seal_shard(index)
-        shard_times.append(time.perf_counter() - clock)
-    partition_times, links = [], []
-    for partition in range(store.partition_count):
-        clock = time.perf_counter()
-        links.extend(store.probe_partition(partition))
-        partition_times.append(time.perf_counter() - clock)
-    clock = time.perf_counter()
-    store.apply_boundary_links(links)
-    apply_seconds = time.perf_counter() - clock
-    gc.enable()
-    modeled = (max(route_times) + max(shard_times)
-               + max(partition_times) + apply_seconds)
-    serial = (sum(route_times) + sum(shard_times)
-              + sum(partition_times) + apply_seconds)
-    return modeled, serial
-
-
 def test_sharded_ingest_scales_and_queries_stay_flat(benchmark):
-    spans = build_spans()
+    spans = sharding_spans(SPANS)
     single = SpanStore()
     single.insert_many(spans)
     single.flush()
@@ -104,15 +40,19 @@ def test_sharded_ingest_scales_and_queries_stay_flat(benchmark):
     modeled_rates = {}
     stores = {}
     for count in SHARD_COUNTS:
-        # Best-of-2 with a fresh store per attempt — one cold shot per
-        # count is exactly the noise source tools/bench_report.py
-        # de-biases with repeats.
+        # Best-of-2 with a fresh store per attempt: one cold shot per
+        # count is a noise source.  GC is paused so a whole-process
+        # collection doesn't land on one member — modeled shard
+        # processes each have their own heap.
         best = None
         for _attempt in range(2):
-            attempt_store = ShardedSpanStore(count, window=WINDOW)
-            timings = ingest_phased(attempt_store, spans)
-            if best is None or timings[0] < best[0]:
-                best = (*timings, attempt_store)
+            attempt_store = ShardedSpanStore(count, window=SHARD_WINDOW)
+            gc.collect()
+            gc.disable()
+            times = ingest_phased(attempt_store, spans)
+            gc.enable()
+            if best is None or times.modeled < best[0]:
+                best = (times.modeled, times.serial, attempt_store)
         modeled, serial, store = best
         starts = [span.span_id for span in spans[::4][:QUERIES]]
         clock = time.perf_counter()
@@ -145,7 +85,7 @@ def test_sharded_ingest_scales_and_queries_stay_flat(benchmark):
     assert modeled_rates[8] > modeled_rates[2]
 
     # Query delay stays flat as the store grows (O(result) lookups).
-    growth = ShardedSpanStore(4, window=WINDOW)
+    growth = ShardedSpanStore(4, window=SHARD_WINDOW)
     delays = []
     step = len(spans) // 5
     for stop in range(step, len(spans) + 1, step):

@@ -9,89 +9,18 @@ latency (from the ``stream.finish_lag_s`` histogram), which is a
 property of the lifecycle parameters, not of wall-clock speed.
 """
 
-import gc
 import time
 
 from benchmarks.conftest import print_table
+from benchmarks.workloads import make_streaming_spans, \
+    run_streaming_workload
 
 from repro.core.export import OtlpStreamExporter
-from repro.core.span import Span, SpanKind, SpanSide
+from repro.core.span import Span
 from repro.server.server import DeepFlowServer
 
 SPAN_COUNT = 50_000
-BATCH = 512
 TARGET_SPANS_PER_SECOND = 50_000
-
-
-def make_streaming_spans(count: int) -> list[Span]:
-    """Groups of four spans per trace; the group's first span is a
-    server-side entry that encloses the rest, so finished traces retire
-    through the root-complete heuristic while ingest is still running
-    (the continuous pipeline's steady state, not a terminal drain)."""
-    spans = []
-    for index in range(count):
-        group = index // 4
-        pos = index % 4
-        group_t = group * 4e-5
-        start = group_t + pos * 1e-6
-        end = group_t + (2e-3 if pos == 0 else 1e-3 + pos * 1e-6)
-        spans.append(Span(
-            span_id=index + 1, kind=SpanKind.SYSCALL,
-            side=SpanSide.SERVER if pos == 0 else SpanSide.CLIENT,
-            start_time=start, end_time=end,
-            host="n1", process_name=f"svc-{group % 7}",
-            protocol="http", operation="GET", resource="/api",
-            status="ok", status_code=200,
-            systrace_id=group))
-    return spans
-
-
-def run_streaming_workload(spans: list[Span], *, repeats: int = 3,
-                           keep_payloads: bool = False) -> dict:
-    """Best-of-*repeats* wall clock for the full push path; returns the
-    figures both the pytest bench and tools/bench_report.py print."""
-    elapsed = None
-    server = None
-    exporter = None
-    # Same accounting as tools/bench_report.py's sharded runs: a
-    # whole-process gen-2 GC pass landing mid-measurement is a
-    # single-process artifact, not a cost of the pipeline.
-    gc.collect()
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _attempt in range(repeats):
-            server = DeepFlowServer()
-            exporter = OtlpStreamExporter(keep_payloads=keep_payloads)
-            server.enable_streaming(exporter=exporter)
-            clock = time.perf_counter()
-            for start in range(0, len(spans), BATCH):
-                batch = spans[start:start + BATCH]
-                server.ingest_spans(batch, now=batch[-1].end_time)
-            end_time = spans[-1].end_time
-            server.streaming.tick(end_time + 0.06)  # root-grace finish
-            server.streaming.drain(end_time + 0.06)  # stragglers
-            run = time.perf_counter() - clock
-            elapsed = run if elapsed is None else min(elapsed, run)
-            gc.collect()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    assert exporter.exported_spans == len(spans)
-    lag = server.pipeline_metrics.get("stream.finish_lag_s")
-    stream = server.streaming.stats()
-    return {
-        "spans": len(spans),
-        "traces": exporter.exported_traces,
-        "spans_per_second": round(len(spans) / elapsed),
-        "elapsed_ms": round(elapsed * 1e3, 1),
-        "p99_finish_lag_ms": round(lag.percentile(0.99) * 1e3, 1),
-        "mean_finish_lag_ms": round(lag.mean() * 1e3, 2),
-        "merges": stream["merges"],
-        "forced_finishes": sum(
-            1 for record in server.streaming.finished
-            if record.reason == "forced"),
-    }
 
 
 def run_export_only(spans: list[Span], *, repeats: int = 3) -> dict:

@@ -352,7 +352,7 @@ class SpanStore:
     def commit_keys(self) -> None:
         """Force only the key-index commit (axes + union-find), leaving
         the time run deferred — the trace-path subset of :meth:`flush`,
-        used by the sharded store's seal phase."""
+        used by the sharded store's lazy commit and fan-out search."""
         self._commit_keys()
 
     # -- component-changed events (continuous pipeline) ---------------------
@@ -381,10 +381,6 @@ class SpanStore:
             return []
         self.graph.events = []
         return events
-
-    def pending_key_count(self) -> int:
-        """How many tail spans the key commit has not yet indexed."""
-        return len(self._tail) - self._keys_committed
 
     def get(self, span_id: int) -> Optional[Span]:
         """Fetch the span by id, or None."""

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 from repro.core.export import OtlpStreamExporter, metrics_to_otlp_json
 from repro.core.metrics import PipelineMetrics
-from repro.core.span import Span, SpanKind, SpanSide, Trace
+from repro.core.span import Span, SpanSide, Trace
 from repro.server.assembler import DEFAULT_ITERATIONS, TraceAssembler
 from repro.server.database import SpanStore
 from repro.server.metricsdb import MetricsDatabase
@@ -53,7 +53,8 @@ class DeepFlowServer:
         self._m_ingested = self.pipeline_metrics.counter(
             "server.spans_ingested", "spans accepted by ingest")
         self._m_batches = self.pipeline_metrics.counter(
-            "server.ingest_batches", "agent shipments received")
+            "server.ingest_batches",
+            "batches received (agent shipments, third-party spans)")
         self._h_batch = self.pipeline_metrics.histogram(
             "server.ingest_batch_spans",
             bounds=(1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0),
@@ -88,11 +89,6 @@ class DeepFlowServer:
     def register_resource_tags(self, vpc: str, ip: str,
                                tags: dict[str, str]) -> None:
         """Register resource tags for (vpc, ip)."""
-        self.tags.register(vpc, ip, tags)
-
-    def register_cloud_tags(self, vpc: str, ip: str,
-                            tags: dict[str, str]) -> None:
-        """Cloud resource tags arrive directly at the server (step ③)."""
         self.tags.register(vpc, ip, tags)
 
     # -- continuous pipeline ----------------------------------------------
@@ -143,7 +139,8 @@ class DeepFlowServer:
     def ingest_spans(self, spans: list[Span],
                      tenant: Optional[str] = None,
                      now: Optional[float] = None) -> None:
-        """Enrich and store a batch of spans from an agent.
+        """Enrich and store a batch of spans from an agent or a
+        third-party tracer (§3.3.2).
 
         The whole batch goes through :meth:`SpanStore.insert_many`, so
         the time index is merged once per shipment and the union-find
@@ -190,20 +187,6 @@ class DeepFlowServer:
         resource = self.tags.resource_tags(vpc, ip)
         if resource:
             tags.update(resource)
-
-    def ingest_otel_span(self, span: Span,
-                         now: Optional[float] = None) -> None:
-        """Third-party span integration (§3.3.2)."""
-        if span.kind is not SpanKind.APP:
-            raise ValueError("third-party spans must have kind APP")
-        self.store.insert(span)
-        self.ingested_spans += 1
-        self._m_ingested.inc()
-        streaming = self.streaming
-        if streaming is not None:
-            streaming.on_spans((span,),
-                               span.end_time if now is None else now)
-            streaming.finalize_pending()
 
     # -- query API (what the front end calls) --------------------------------
 

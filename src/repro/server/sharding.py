@@ -108,7 +108,6 @@ class ShardedSpanStore:
 
     def __init__(self, shard_count: int = 4, *,
                  window: float = DEFAULT_WINDOW,
-                 boundary_partitions: Optional[int] = None,
                  metrics: Optional[PipelineMetrics] = None) -> None:
         if not 1 <= shard_count <= MAX_SHARDS:
             raise ValueError(
@@ -117,9 +116,8 @@ class ShardedSpanStore:
             raise ValueError("window must be positive")
         self.shard_count = shard_count
         self.window = window
-        self.partition_count = boundary_partitions or shard_count
-        if self.partition_count < 1:
-            raise ValueError("boundary_partitions must be >= 1")
+        #: One boundary partition per shard.
+        self.partition_count = shard_count
         self.shards: list[SpanStore] = []
         for _ in range(shard_count):
             shard = SpanStore()
@@ -230,22 +228,15 @@ class ShardedSpanStore:
         two *different* spans reusing one id may land on two shards
         undetected — span ids are allocator-unique by construction.
         """
-        salt = self._tenant_salt(tenant)
-        shards = self.shards
-        route = self._route
         if tenant:
-            routed = 0
+            spans = list(spans)
             for span in spans:
                 span.tags.setdefault("tenant", tenant)
-                shards[route(span, salt)].insert(span)
-                routed += 1
-            self._m_routed.inc(routed)
-            return
         # Batch per shard so each shard's insert_many runs one tight
         # loop (duplicate check + append) over its share.
-        batches = self.route_batches(spans)
+        batches = self.route_batches(spans, tenant)
         routed = 0
-        for shard, batch in zip(shards, batches):
+        for shard, batch in zip(self.shards, batches):
             if batch:
                 shard.insert_many(batch)
                 routed += len(batch)
@@ -258,20 +249,23 @@ class ShardedSpanStore:
         keys by boundary partition.  Returns the number of key events
         sealed.  Per-shard work: in the modeled deployment every shard
         server runs this phase in parallel."""
+        self.shards[shard_index].flush()
+        return self._bucket_first_seen(shard_index)
+
+    def _bucket_first_seen(self, shard_index: int) -> int:
+        """Move one shard's first-seen-key log into the boundary
+        partitions' buckets; returns the number of key events moved."""
         shard = self.shards[shard_index]
-        shard.flush()
         log = shard.first_seen_keys
         if not log:
             return 0
         shard.first_seen_keys = []
         buckets = self._buckets
         count = self.partition_count
-        sealed = 0
         for tag, value, span_id in log:
             index = _partition_hash(tag, value) % count
             buckets[index].append((tag, value, span_id, shard_index))
-            sealed += 1
-        return sealed
+        return len(log)
 
     def probe_partition(self, partition: int) -> list[tuple[int, int]]:
         """Probe one boundary partition's owner table with its sealed key
@@ -311,11 +305,7 @@ class ShardedSpanStore:
     def merge_boundaries(self) -> None:
         """Run every partition probe and apply the discovered links."""
         for partition in range(self.partition_count):
-            links = self.probe_partition(partition)
-            if links:
-                self.boundary.link_batch(links)
-                self.boundary_links += len(links)
-                self._m_boundary.inc(len(links))
+            self.apply_boundary_links(self.probe_partition(partition))
 
     def flush(self) -> None:
         """Force all deferred maintenance: shard commits, boundary seal,
@@ -327,21 +317,10 @@ class ShardedSpanStore:
     def _ensure_traceable(self) -> None:
         """Bring key indexes and the boundary forest up to date (the
         lazy-commit step trace queries trigger)."""
-        dirty = False
         for shard_index, shard in enumerate(self.shards):
-            if shard.first_seen_keys or shard.pending_key_count():
-                shard.commit_keys()
-                log = shard.first_seen_keys
-                if log:
-                    shard.first_seen_keys = []
-                    buckets = self._buckets
-                    count = self.partition_count
-                    for tag, value, span_id in log:
-                        index = _partition_hash(tag, value) % count
-                        buckets[index].append(
-                            (tag, value, span_id, shard_index))
-                dirty = True
-        if dirty or any(self._buckets):
+            shard.commit_keys()
+            self._bucket_first_seen(shard_index)
+        if any(self._buckets):
             self.merge_boundaries()
 
     # -- component-changed events (continuous pipeline) ---------------------
@@ -412,7 +391,7 @@ class ShardedSpanStore:
         dict probes — independent of total store size, preserving the
         flat Fig-15 query-delay curve under sharding.
         """
-        home = self._owning_store(span_id)
+        home = self.shard_of(span_id)
         if home is None:
             raise KeyError(f"unknown span id {span_id}")
         self._ensure_traceable()
@@ -421,16 +400,17 @@ class ShardedSpanStore:
         component = boundary.component
         result: set[int] = set()
         stack = [span_id]
-        store = home
+        shards = self.shards
+        shard_of = self.shard_of
         while stack:
             current = stack.pop()
             if current in result:
                 continue
             if current != span_id:
-                store = self._owning_store(current)
-                if store is None:  # boundary rep of a foreign tenant? no:
-                    continue       # defensive — links only cite stored ids
-            local = store.component_ids(current)
+                home = shard_of(current)
+                if home is None:  # defensive — links only cite stored ids
+                    continue
+            local = shards[home].component_ids(current)
             result |= local
             for member in local:
                 if member in linked:
@@ -443,12 +423,6 @@ class ShardedSpanStore:
         """Every span in *span_id*'s merged cross-shard component."""
         get = self.get
         return [get(member) for member in self.component_ids(span_id)]
-
-    def _owning_store(self, span_id: int) -> Optional[SpanStore]:
-        for shard in self.shards:
-            if shard.get(span_id) is not None:
-                return shard
-        return None
 
     def search(self, assoc: AssociationFilter,
                tenant: Optional[str] = None) -> set[int]:

@@ -348,19 +348,3 @@ def test_cli_json_report_and_exit_code(tmp_path):
     assert payload["findings"] == []
     assert set(payload["checkers"]) == {
         "confinement", "discipline", "dissector-safety", "hot-path"}
-
-
-def test_legacy_lint_shim_reports_only_legacy_rules(tmp_path):
-    """tools/lint_repro.py keeps its historical surface: determinism and
-    layering only — the framework's newer rules stay out of it."""
-    from tools import lint_repro
-
-    source = textwrap.dedent('''
-        import time
-
-        def now(x):
-            assert x > 0
-            return time.time()
-        ''')
-    violations = lint_repro.lint_source(source, "agent/clock.py", "agent")
-    assert [v.rule for v in violations] == ["determinism"]

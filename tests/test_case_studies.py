@@ -10,6 +10,8 @@ Each test reproduces one production workflow end to end:
 * Nginx cross-thread — X-Request-ID keeps proxy spans connected.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.analysis.rootcause import (
@@ -400,6 +402,28 @@ class TestThirdPartyIntegration:
         assert app_server.parent_id == ebpf_server.span_id
         assert app_client.parent_id == app_server.span_id
         assert ebpf_client.parent_id == app_client.span_id
+
+    def test_app_spans_take_the_agent_ingest_path(self):
+        """A third-party span is one ingest batch, counted and sized in
+        the server's self-metrics like an agent shipment."""
+        sim = Simulator(seed=1)
+        server = DeepFlowServer()
+        tracer = JaegerTracer(sim, export_server=server)
+        component = SimpleNamespace(
+            name="orders", kernel=SimpleNamespace(host_name="n1"),
+            process=None)
+        root = tracer.start_server_span(component, {}, "GET /")
+        child = tracer.start_client_span(component, root, "GET /stock")
+        tracer.finish_span(child)
+        tracer.finish_span(root)
+        metrics = server.pipeline_metrics
+        assert metrics.get("server.spans_ingested").value == 2
+        assert metrics.get("server.ingest_batches").value == 2
+        batch_sizes = metrics.get("server.ingest_batch_spans")
+        assert batch_sizes.count == 2
+        assert batch_sizes.sum == 2.0
+        assert {span.kind for span in server.store.all_spans()} == {
+            SpanKind.APP}
 
     def test_agent_extracts_trace_id_from_headers(self):
         """The eBPF span of a traced request carries the OTel trace id."""

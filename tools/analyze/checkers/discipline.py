@@ -1,9 +1,6 @@
 """Discipline checker: determinism, layering, and runtime asserts.
 
-Re-implements the original ``tools/lint_repro.py`` rules on the shared
-engine (same rule ids, same message text — the back-compat shim maps
-these findings straight back to ``Violation`` objects) and adds one new
-rule:
+Three rules over every module of the package tree:
 
 * ``determinism`` — wall-clock / RNG calls outside ``repro.sim``.
 * ``layering`` — imports that cross the package layering matrix,
@@ -14,8 +11,8 @@ rule:
   never scanned.)
 
 The per-module entry point :func:`lint_module` operates on a parsed
-tree so the shim can run it on arbitrary source strings without
-building a :class:`~tools.analyze.project.Project`.
+tree, so tests can run it on arbitrary source strings without building
+a :class:`~tools.analyze.project.Project`.
 """
 
 from __future__ import annotations
@@ -78,11 +75,9 @@ BACK_CHANNEL = {
 class _ModuleLinter(ast.NodeVisitor):
     """Single-module pass collecting discipline findings."""
 
-    def __init__(self, path: str, package: str, *,
-                 assert_rule: bool = True):
+    def __init__(self, path: str, package: str):
         self.path = path
         self.package = package  # first component under repro/, "" at root
-        self.assert_rule = assert_rule
         self.findings: list[Finding] = []
         #: local alias → banned (module, attr) from `from X import Y`.
         self._from_aliases: dict[str, tuple[str, str]] = {}
@@ -172,11 +167,10 @@ class _ModuleLinter(ast.NodeVisitor):
     # -- asserts -----------------------------------------------------------
 
     def visit_Assert(self, node: ast.Assert) -> None:
-        if self.assert_rule:
-            self._report(
-                node, "runtime-assert",
-                "bare assert used for runtime validation — asserts "
-                "vanish under python -O; raise an explicit exception")
+        self._report(
+            node, "runtime-assert",
+            "bare assert used for runtime validation — asserts "
+            "vanish under python -O; raise an explicit exception")
         self.generic_visit(node)
 
 
@@ -192,10 +186,9 @@ def _attr_chain(node: ast.Attribute) -> tuple[str, ...]:
     return ()
 
 
-def lint_module(tree: ast.Module, path: str, package: str, *,
-                assert_rule: bool = True) -> list[Finding]:
+def lint_module(tree: ast.Module, path: str, package: str) -> list[Finding]:
     """Run the discipline rules over one parsed module."""
-    linter = _ModuleLinter(path, package, assert_rule=assert_rule)
+    linter = _ModuleLinter(path, package)
     linter.visit(tree)
     return linter.findings
 

@@ -23,10 +23,9 @@ threshold (default 20%) — the committed numbers can only regress
 loudly.  The fresh report is written either way, so CI keeps the
 artifact of the failing run.
 
-The workloads intentionally mirror the pytest benchmarks
-(benchmarks/test_agent_throughput.py, benchmarks/test_scale.py,
-benchmarks/test_sharding_scale.py): same shapes, same sizes, so the
-numbers are comparable across both harnesses.
+The workloads come from ``benchmarks/workloads.py``, the module the
+pytest benchmarks use too; this script owns only its measurement loops
+and the JSON it writes.
 
 The sharded numbers report two throughputs per shard count: ``serial``
 (wall clock of this single-process run) and ``modeled`` (router cost
@@ -44,37 +43,29 @@ import gc
 import json
 import sys
 import time
+from pathlib import Path
 
-from repro.agent.agent import AgentConfig, DeepFlowAgent
-from repro.apps.loadgen import LoadGenerator
-from repro.apps.runtime import HttpService, Response
-from repro.core.export import OtlpStreamExporter
-from repro.core.span import Span, SpanKind, SpanSide
-from repro.kernel.kernel import Kernel
-from repro.kernel.sockets import FiveTuple
-from repro.kernel.syscalls import Direction, SyscallRecord
-from repro.network.topology import ClusterBuilder
-from repro.network.transport import Network
-from repro.protocols import http1
-from repro.server.assembler import TraceAssembler
-from repro.server.database import SpanStore
-from repro.server.server import DeepFlowServer
-from repro.server.sharding import ShardedSpanStore
-from repro.sim.engine import Simulator
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from benchmarks.workloads import (  # noqa: E402
+    END_RPS, ROUTER_CLIENTS, SHARD_WINDOW, START_RPS, PhaseTimes,
+    chain_store, ingest_phased, make_streaming_spans,
+    run_overloaded_world, run_streaming_workload, sharding_spans,
+    store_spans, synthetic_records)
+from repro.agent.agent import DeepFlowAgent  # noqa: E402
+from repro.core.export import OtlpStreamExporter  # noqa: E402
+from repro.kernel.kernel import Kernel  # noqa: E402
+from repro.server.assembler import TraceAssembler  # noqa: E402
+from repro.server.database import SpanStore  # noqa: E402
+from repro.server.sharding import ShardedSpanStore  # noqa: E402
+from repro.sim.engine import Simulator  # noqa: E402
 
 AGENT_EVENTS = 20_000
 STORE_SPANS = 50_000
 TRACE_CHAIN = 24
 TRACE_QUERIES = 200
 SHARD_COUNTS = (1, 2, 4, 8)
-#: Modeled size of the routing fleet: agents route client-side (the
-#: router is stateless), so routing cost divides across the agent fleet
-#: regardless of how many shards it feeds.
-ROUTER_CLIENTS = 8
-SHARD_WINDOW = 0.5
-
 STREAM_SPANS = 50_000
-STREAM_BATCH = 512
 
 #: Dotted paths of gated metrics the --check gate compares.  A leading
 #: ``-`` marks a lower-is-better metric (latency: a regression is the
@@ -96,24 +87,7 @@ GATED_METRICS = (
 
 def bench_agent_pipeline() -> dict:
     """Events/second through the full user-space agent pipeline."""
-    request = http1.encode_request("GET", "/api/items")
-    response = http1.encode_response(200, body=b"[]")
-    records = []
-    t = 0.0
-    for index in range(AGENT_EVENTS // 2):
-        socket_id = index % 8
-        ft = FiveTuple("10.0.0.1", 40000 + socket_id, "10.0.0.2", 80)
-        for direction, abi, payload in (
-                (Direction.INGRESS, "read", request),
-                (Direction.EGRESS, "write", response)):
-            t += 1e-4
-            records.append(SyscallRecord(
-                pid=1, tid=100 + socket_id, coroutine_id=None,
-                process_name="svc", socket_id=socket_id, five_tuple=ft,
-                tcp_seq=index * 100 + 1, enter_time=t,
-                exit_time=t + 1e-5, direction=direction, abi=abi,
-                byte_len=len(payload), payload=payload,
-                ret=len(payload), host_name="node-1"))
+    records = synthetic_records(AGENT_EVENTS)
     # Best of three fresh agents: a single cold pass once recorded a
     # 2x-low figure that read as a regression but was only a loaded
     # machine (see CHANGES.md PR 9) — the same event stream replayed on
@@ -138,12 +112,7 @@ def bench_agent_pipeline() -> dict:
 
 def bench_store_ingest() -> dict:
     """Span-store ingest rate, with the deferred index commit priced."""
-    spans = [Span(
-        span_id=index, kind=SpanKind.SYSCALL,
-        side=SpanSide.CLIENT if index % 2 else SpanSide.SERVER,
-        start_time=index * 1e-4, end_time=index * 1e-4 + 1e-3,
-        systrace_id=index // 4, flow_key=("flow", index % 977),
-        req_tcp_seq=index) for index in range(STORE_SPANS)]
+    spans = store_spans(STORE_SPANS)
     insert_seconds = commit_seconds = None
     for _attempt in range(3):
         store = SpanStore()
@@ -168,22 +137,7 @@ def bench_store_ingest() -> dict:
 def bench_trace_assembly() -> dict:
     """Algorithm 1 per-query cost: trace-graph index vs iterative
     reference, on chain-shaped traces over a 50k-span store."""
-    store = SpanStore()
-    spans = []
-    span_id = 0
-    for group in range(STORE_SPANS // TRACE_CHAIN + 1):
-        for pos in range(TRACE_CHAIN):
-            spans.append(Span(
-                span_id=span_id, kind=SpanKind.SYSCALL,
-                side=SpanSide.CLIENT if pos % 2 else SpanSide.SERVER,
-                start_time=span_id * 1e-4,
-                end_time=span_id * 1e-4 + 1e-3,
-                systrace_id=group * TRACE_CHAIN + pos // 2,
-                x_request_id=(f"x-{group}-{(pos + 1) // 2}"
-                              if pos > 0 else None)))
-            span_id += 1
-    store.insert_many(spans)
-    store.flush()
+    store, spans = chain_store(STORE_SPANS // TRACE_CHAIN + 1, TRACE_CHAIN)
     assembler = TraceAssembler(store)
     starts = [span.span_id
               for span in spans[::TRACE_CHAIN][:TRACE_QUERIES]]
@@ -205,35 +159,7 @@ def bench_trace_assembly() -> dict:
     }
 
 
-def _sharding_spans(count: int = STORE_SPANS) -> list[Span]:
-    """The sharding workload: groups of four spans share a systrace id
-    (the routing key); every tenth group also carries the previous
-    group's X-Request-ID, so a slice of the population associates across
-    routing keys — and, near window edges, across shards — keeping the
-    boundary-merge machinery on the measured path."""
-    spans = []
-    for index in range(count):
-        group = index // 4
-        xreq = None
-        if group % 10 == 0 and group > 0 and index % 4 == 0:
-            xreq = f"xr-{group - 1}"
-        elif group % 10 == 9 and index % 4 == 3:
-            xreq = f"xr-{group}"
-        spans.append(Span(
-            span_id=index, kind=SpanKind.SYSCALL,
-            side=SpanSide.CLIENT if index % 2 else SpanSide.SERVER,
-            start_time=index * 1e-4, end_time=index * 1e-4 + 1e-3,
-            systrace_id=group, x_request_id=xreq,
-            flow_key=("flow", index % 977), req_tcp_seq=index))
-    return spans
-
-
-def _chunks(items: list, count: int) -> list[list]:
-    size = (len(items) + count - 1) // count
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
-def _bench_one_shard_count(shards: int, spans: list[Span],
+def _bench_one_shard_count(shards: int, spans: list,
                            repeats: int = 3) -> dict:
     """Phase-priced ingest + query delay for one shard count.
 
@@ -249,64 +175,21 @@ def _bench_one_shard_count(shards: int, spans: list[Span],
     process has its own heap, so charging one member the fleet's
     entire GC is a single-process artifact, not a cost of sharding.
     """
-    route_times = shard_times = partition_times = None
-    apply_seconds = None
+    best = None
     store = None
     gc.collect()
     gc_was_enabled = gc.isenabled()
     gc.disable()
     for _attempt in range(repeats):
         store = ShardedSpanStore(shards, window=SHARD_WINDOW)
-        # Routing: stateless, done client-side by the agent fleet —
-        # modeled as the max over a fixed number of routing clients.
-        routes = []
-        client_batches = []
-        for chunk in _chunks(spans, ROUTER_CLIENTS):
-            clock = time.perf_counter()
-            client_batches.append(store.route_batches(chunk))
-            routes.append(time.perf_counter() - clock)
-        merged = [[] for _ in range(shards)]
-        for batches in client_batches:
-            for index, batch in enumerate(batches):
-                merged[index].extend(batch)
-        # Shard phase: insert + key/time commit + first-seen-key seal,
-        # per shard — each shard server runs this independently.
-        shard = []
-        for index, batch in enumerate(merged):
-            clock = time.perf_counter()
-            store.shards[index].insert_many(batch)
-            store.shards[index].flush()
-            store.seal_shard(index)
-            shard.append(time.perf_counter() - clock)
-        # Boundary phase: per-partition owner-table probes (a
-        # partitioned keyspace service), then the one serial link apply.
-        partitions = []
-        links = []
-        for partition in range(store.partition_count):
-            clock = time.perf_counter()
-            links.extend(store.probe_partition(partition))
-            partitions.append(time.perf_counter() - clock)
-        clock = time.perf_counter()
-        store.apply_boundary_links(links)
-        apply = time.perf_counter() - clock
-        if route_times is None:
-            route_times, shard_times = routes, shard
-            partition_times, apply_seconds = partitions, apply
-        else:
-            route_times = [min(a, b) for a, b in zip(route_times, routes)]
-            shard_times = [min(a, b) for a, b in zip(shard_times, shard)]
-            partition_times = [min(a, b) for a, b
-                               in zip(partition_times, partitions)]
-            apply_seconds = min(apply_seconds, apply)
+        times = ingest_phased(store, spans)
+        best = times if best is None else PhaseTimes(
+            [min(a, b) for a, b in zip(best.route, times.route)],
+            [min(a, b) for a, b in zip(best.shard, times.shard)],
+            [min(a, b) for a, b in zip(best.partition, times.partition)],
+            min(best.apply, times.apply))
     if gc_was_enabled:
         gc.enable()
-
-    route_max = max(route_times)
-    shard_max = max(shard_times)
-    partition_max = max(partition_times) if partition_times else 0.0
-    modeled = route_max + shard_max + partition_max + apply_seconds
-    serial = (sum(route_times) + sum(shard_times)
-              + sum(partition_times) + apply_seconds)
 
     # Query delay: scatter-gather trace queries against the full store.
     starts = [span.span_id for span in spans[::4][:TRACE_QUERIES]]
@@ -316,12 +199,12 @@ def _bench_one_shard_count(shards: int, spans: list[Span],
     query_seconds = (time.perf_counter() - clock) / len(starts)
     stats = store.shard_stats()
     return {
-        "modeled_spans_per_second": round(len(spans) / modeled),
-        "serial_spans_per_second": round(len(spans) / serial),
-        "route_max_ms": round(route_max * 1e3, 2),
-        "shard_max_ms": round(shard_max * 1e3, 2),
-        "partition_max_ms": round(partition_max * 1e3, 2),
-        "link_apply_ms": round(apply_seconds * 1e3, 2),
+        "modeled_spans_per_second": round(len(spans) / best.modeled),
+        "serial_spans_per_second": round(len(spans) / best.serial),
+        "route_max_ms": round(max(best.route) * 1e3, 2),
+        "shard_max_ms": round(max(best.shard) * 1e3, 2),
+        "partition_max_ms": round(max(best.partition) * 1e3, 2),
+        "link_apply_ms": round(best.apply * 1e3, 2),
         "boundary_links": stats["boundary_links"],
         "imbalance": round(stats["imbalance"], 3),
         "trace_query_us": round(query_seconds * 1e6, 2),
@@ -331,7 +214,7 @@ def _bench_one_shard_count(shards: int, spans: list[Span],
 def bench_sharding() -> dict:
     """Fig-15-style scaling: ingest-to-queryable throughput across shard
     counts, plus a query-delay curve over a growing 4-shard store."""
-    spans = _sharding_spans()
+    spans = sharding_spans(STORE_SPANS)
     # Throwaway warmup: the first phased ingest of a process pays
     # allocator growth and cold branch predictors, and whichever shard
     # count runs first would eat it — usually the 1-shard baseline,
@@ -372,62 +255,17 @@ def bench_sharding() -> dict:
 
 
 def _overloaded_run(protection: bool) -> dict:
-    """One measurement leg of :func:`bench_overload` (self-contained
-    twin of benchmarks/test_overload_selfprotection.py: same seed, same
-    ramp, so the JSON artifact and the pytest table agree)."""
-    sim = Simulator(seed=11)
-    builder = ClusterBuilder(node_count=1)
-    wrk_pod = builder.add_pod(0, "wrk2-pod")
-    web_pod = builder.add_pod(0, "web-pod")
-    cluster = builder.build()
-    Network(sim, cluster)
-    server = DeepFlowServer()
-    node = cluster.nodes[0]
-    agent = server.new_agent(
-        node.kernel, node=node,
-        config=AgentConfig(perf_buffer_capacity=128,
-                           overload_protection=protection))
-    agent.deploy(mode="full")
-    service = HttpService("web", web_pod.node, 80, pod=web_pod,
-                          service_time=0.00005)
-
-    @service.route("/")
-    def index(worker, request):
-        return Response(200, body=b"ok")
-        yield
-
-    service.start()
-    agent.start_polling(interval=0.01)
-    generator = LoadGenerator(wrk_pod.node, web_pod.ip, 80, rate=1.0,
-                              duration=1.0, connections=16, pod=wrk_pod,
-                              name="wrk2")
-    generator.ramp(100.0, 12_000.0, 1.5)
-    sim.run_process(generator.run())
-    sim.run(until=sim.now + 0.5)
-    agent.flush(expire=True)
-
-    spans = [span for span in server.span_list(0.0, sim.now + 1000.0)
-             if span.kind is SpanKind.SYSCALL]
-    sides: dict = {}
-    errors = 0
-    for span in spans:
-        if span.tags.get("error.kind"):
-            errors += 1
-            continue
-        sides.setdefault((span.flow_key, span.req_tcp_seq),
-                         set()).add(span.side)
-    whole = sum(1 for group in sides.values() if len(group) == 2)
-    torn = sum(1 for group in sides.values() if len(group) < 2) + errors
-    health = agent.health()
+    """One measurement leg of :func:`bench_overload`."""
+    run = run_overloaded_world(protection)
     return {
-        "ring_drops": health["perf"]["dropped"],
-        "ebpf_cost_ms": round(node.kernel.hooks.total_cost_ns / 1e6, 1),
-        "spans": len(spans),
-        "whole_traces": whole,
-        "torn_traces": torn,
-        "trace_completeness": round(whole / max(1, whole + torn), 4),
+        "ring_drops": run["dropped"],
+        "ebpf_cost_ms": round(run["kernel_cost_ms"], 1),
+        "spans": run["spans"],
+        "whole_traces": run["whole"],
+        "torn_traces": run["torn"],
+        "trace_completeness": round(run["completeness"], 4),
         "tier_path": ["FULL"] + [new for _now, _old, new, _reason
-                                 in health.get("transitions", [])],
+                                 in run["transitions"]],
     }
 
 
@@ -435,34 +273,10 @@ def bench_overload() -> dict:
     """Overhead-vs-completeness under a 10x open-loop ramp, protection
     on vs off (the Fig. 16 analogue)."""
     return {
-        "ramp_rps": [100, 12_000],
+        "ramp_rps": [round(START_RPS), round(END_RPS)],
         "protected": _overloaded_run(True),
         "unprotected": _overloaded_run(False),
     }
-
-
-def _streaming_spans(count: int = STREAM_SPANS) -> list[Span]:
-    """Groups of four spans per trace; the first is a server-side entry
-    enclosing the rest, so the continuous assembler retires traces via
-    the root-complete heuristic *during* ingest — the steady state, not
-    a terminal drain.  (Self-contained twin of
-    benchmarks/test_streaming_pipeline.py: same shape, same sizes.)"""
-    spans = []
-    for index in range(count):
-        group = index // 4
-        pos = index % 4
-        group_t = group * 4e-5
-        start = group_t + pos * 1e-6
-        end = group_t + (2e-3 if pos == 0 else 1e-3 + pos * 1e-6)
-        spans.append(Span(
-            span_id=index + 1, kind=SpanKind.SYSCALL,
-            side=SpanSide.SERVER if pos == 0 else SpanSide.CLIENT,
-            start_time=start, end_time=end,
-            host="n1", process_name=f"svc-{group % 7}",
-            protocol="http", operation="GET", resource="/api",
-            status="ok", status_code=200,
-            systrace_id=group))
-    return spans
 
 
 def bench_streaming() -> dict:
@@ -474,55 +288,34 @@ def bench_streaming() -> dict:
     ``stream.finish_lag_s`` histogram, so the gated p99 is a lifecycle
     property that cannot flap with host speed.
     """
-    spans = _streaming_spans()
-    elapsed = None
-    server = None
-    gc.collect()
+    run = run_streaming_workload(make_streaming_spans(STREAM_SPANS))
+    # Export throughput in isolation: re-encode the finished traces.
+    traces = [record.trace for record in run["server"].streaming.finished]
+    export_seconds = None
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for _attempt in range(3):
-            server = DeepFlowServer()
-            exporter = OtlpStreamExporter(keep_payloads=False)
-            server.enable_streaming(exporter=exporter)
-            clock = time.perf_counter()
-            for start in range(0, len(spans), STREAM_BATCH):
-                batch = spans[start:start + STREAM_BATCH]
-                server.ingest_spans(batch, now=batch[-1].end_time)
-            end_time = spans[-1].end_time
-            server.streaming.tick(end_time + 0.06)
-            server.streaming.drain(end_time + 0.06)
-            run = time.perf_counter() - clock
-            elapsed = run if elapsed is None else min(elapsed, run)
-            gc.collect()
-        # Export throughput in isolation: re-encode the finished traces.
-        traces = [record.trace for record in server.streaming.finished]
-        export_seconds = None
         for _attempt in range(3):
             sink = OtlpStreamExporter(keep_payloads=False)
             clock = time.perf_counter()
             for trace in traces:
                 sink.export_trace(trace)
-            run = time.perf_counter() - clock
-            export_seconds = (run if export_seconds is None
-                              else min(export_seconds, run))
+            elapsed = time.perf_counter() - clock
+            export_seconds = (elapsed if export_seconds is None
+                              else min(export_seconds, elapsed))
     finally:
         if gc_was_enabled:
             gc.enable()
-    lag = server.pipeline_metrics.get("stream.finish_lag_s")
-    stream = server.streaming.stats()
     return {
-        "spans": len(spans),
-        "traces": stream["finished"],
-        "spans_per_second": round(len(spans) / elapsed),
+        "spans": run["spans"],
+        "traces": run["traces"],
+        "spans_per_second": run["spans_per_second"],
         "export_spans_per_second": round(sink.exported_spans
                                          / export_seconds),
-        "p99_finish_lag_ms": round(lag.percentile(0.99) * 1e3, 1),
-        "mean_finish_lag_ms": round(lag.mean() * 1e3, 2),
-        "merges": stream["merges"],
-        "forced_finishes": sum(
-            1 for record in server.streaming.finished
-            if record.reason == "forced"),
+        "p99_finish_lag_ms": run["p99_finish_lag_ms"],
+        "mean_finish_lag_ms": run["mean_finish_lag_ms"],
+        "merges": run["merges"],
+        "forced_finishes": run["forced_finishes"],
     }
 
 
